@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ccglib.bit_gemm import complex_bit_gemm
+from repro.ccglib.bit_gemm import complex_bit_gemm, popcount_bit_gemm
 from repro.ccglib.complex_mma import complex_mma_f16
 from repro.ccglib.packing import pack_sign_planar
 from repro.ccglib.transpose import planar_to_kmajor, tile_planar
@@ -37,18 +37,26 @@ def test_complex_mma_f16_throughput(benchmark, data):
     benchmark.extra_info["useful_ops"] = 8 * m * n * k
 
 
-def test_packed_bit_gemm_xor_throughput(benchmark, data):
+def test_packed_bit_gemm_throughput(benchmark, data):
     *_, a_bits, b_bits, shape = data
     m, n, k = shape
-    out = benchmark(complex_bit_gemm, a_bits, b_bits, k, BitOp.XOR)
+    out = benchmark(complex_bit_gemm, a_bits, b_bits, k)
     assert out.shape == (2, m, n)
     benchmark.extra_info["useful_ops"] = 8 * m * n * k
 
 
-def test_packed_bit_gemm_and_throughput(benchmark, data):
+def test_popcount_spec_xor_throughput(benchmark, data):
     *_, a_bits, b_bits, shape = data
     m, n, k = shape
-    out = benchmark(complex_bit_gemm, a_bits, b_bits, k, BitOp.AND)
+    out = benchmark(popcount_bit_gemm, a_bits, b_bits, k, BitOp.XOR)
+    assert out.shape == (2, m, n)
+    benchmark.extra_info["useful_ops"] = 8 * m * n * k
+
+
+def test_popcount_spec_and_throughput(benchmark, data):
+    *_, a_bits, b_bits, shape = data
+    m, n, k = shape
+    out = benchmark(popcount_bit_gemm, a_bits, b_bits, k, BitOp.AND)
     assert out.shape == (2, m, n)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin
 
 from repro.errors import ShapeError
 
@@ -32,6 +31,10 @@ class PolyphaseFilterbank:
 
     def prototype(self) -> np.ndarray:
         """The prototype filter coefficients, normalized to unit DC gain."""
+        # Imported here: scipy.signal is most of the package's import time,
+        # and only the filter design needs it.
+        from scipy.signal import firwin
+
         n = self.n_channels * self.n_taps
         h = firwin(n, cutoff=1.0 / self.n_channels, window="hamming")
         return (h / h.sum()).astype(np.float64)

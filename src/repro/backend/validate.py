@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.backend import ArrayBackend, available_backends, get_backend, numpy_backend
 from repro.backend.conformance import check_backend
-from repro.ccglib.bit_gemm import complex_bit_gemm
+from repro.ccglib.bit_gemm import complex_bit_gemm, popcount_bit_gemm
 from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
 from repro.ccglib.layouts import to_planar
 from repro.ccglib.packing import pack_sign_planar, unpack_sign_planar
@@ -39,8 +39,10 @@ from repro.tcbf.scaling import rms
 from repro.util.bits import pack_bits, sign_to_bits, unpack_bits
 
 #: (batch, m, n, k) GEMM shapes exercised per backend; quick mode keeps the
-#: first two. Deliberately awkward K values so padding paths run too.
-_SHAPES = ((1, 8, 4, 16), (2, 16, 8, 33), (3, 7, 5, 100), (1, 32, 16, 257))
+#: first two. Deliberately awkward K values so padding paths run too. The
+#: last shape's operand reuse is above SIGN_GEMM_MIN_REUSE, so the int1 GEMM
+#: takes its sign-GEMM path there and the popcount path on the others.
+_SHAPES = ((1, 8, 4, 16), (2, 16, 8, 33), (3, 7, 5, 100), (1, 32, 16, 257), (2, 96, 80, 45))
 
 
 @dataclass
@@ -148,7 +150,7 @@ def validate_backend(
         got = be.to_numpy(complex_bit_gemm(aw, bw, k_valid=k, backend=be))
         aw_ref = pack_sign_planar(a_planar, k_pad_to=_pad32(k))
         bw_ref = pack_sign_planar(planar_to_kmajor(b_planar), k_pad_to=_pad32(k))
-        want = np.asarray(complex_bit_gemm(aw_ref, bw_ref, k_valid=k))
+        want = np.asarray(popcount_bit_gemm(aw_ref, bw_ref, k_valid=k))
         tol = parity_tolerance(Precision.INT1)
         report.cases.append(_compare(f"int1-gemm/{tag}", got, want, tol.rtol, tol.atol))
 

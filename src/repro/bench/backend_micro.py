@@ -12,7 +12,11 @@ every detected :mod:`repro.backend` array backend. Two purposes:
   specification of the bit layout); the ``speedup`` table measures the
   vectorized path against it and the findings assert the pinned >= 5x
   floor, so a future change that quietly de-vectorizes the hot path fails
-  the bench;
+  the bench; the packed 1-bit GEMM likewise runs both its popcount
+  executable spec (:func:`repro.ccglib.bit_gemm.popcount_bit_gemm`) and
+  its sign-GEMM fast path over a sweep of operand reuse, the measurement
+  :data:`repro.ccglib.bit_gemm.SIGN_GEMM_MIN_REUSE` is chosen from, with a
+  bit-identity check and no wall-clock floor;
 * **compare backends**: the same pipeline entry points run per backend
   (NumPy always; CuPy/JAX when importable), giving a like-for-like
   throughput table and exercising the cross-backend code paths in CI.
@@ -30,6 +34,7 @@ import numpy as np
 
 from repro.backend import available_backends, backend_versions, get_backend
 from repro.bench.report import ExperimentResult
+from repro.ccglib import bit_gemm
 from repro.ccglib.bit_gemm import complex_bit_gemm
 from repro.ccglib.complex_mma import complex_mma_f16_batched
 from repro.ccglib.packing import pack_sign_planar, pack_sign_planar_scalar
@@ -45,6 +50,11 @@ MIN_PACK_SPEEDUP = 5.0
 _SCALAR_SHAPE = (2, 16, 8192)
 
 _TIMING_REPS = 3
+
+#: square M = N sizes of the int1 spec-vs-sign table, run at the K of the
+#: int1 micro shape: operand reuse M*N/(M+N) of 4 to 64 brackets the
+#: crossover that SIGN_GEMM_MIN_REUSE is set from.
+_INT1_PATH_SIZES = (8, 16, 32, 64, 128)
 
 
 def _best_time(fn, be, reps: int = _TIMING_REPS) -> float:
@@ -163,6 +173,51 @@ def run(quick: bool = False, backend: str | None = None) -> ExperimentResult:
         f"with bit-identical output ({'yes' if identical else 'NO'})"
     )
 
+    # -- int1: popcount spec vs sign-GEMM -----------------------------------
+    path_headers = ["M x N x K", "reuse", "spec (ms)", "sign-GEMM (ms)", "speedup", "rule picks"]
+    path_rows: list[list[object]] = []
+    path_identical = True
+    for size in _INT1_PATH_SIZES:
+        aw = rng.integers(0, 2**32, size=(bi, 2, size, ki // 32), dtype=np.uint32)
+        bw = rng.integers(0, 2**32, size=(bi, 2, size, ki // 32), dtype=np.uint32)
+        k_pad = 1  # so the Kpad correction runs on both paths
+
+        def spec():
+            return bit_gemm.popcount_bit_gemm(aw, bw, ki - k_pad)
+
+        def sign():
+            return bit_gemm._sign_gemm(aw, bw, k_pad, np_be)
+
+        path_identical = path_identical and bool(np.array_equal(spec(), sign()))
+        t_spec = _best_time(spec, np_be)
+        t_sign = _best_time(sign, np_be)
+        path_rows.append(
+            [
+                f"{size} x {size} x {ki}",
+                size / 2,
+                round(t_spec * 1e3, 3),
+                round(t_sign * 1e3, 3),
+                round(t_spec / t_sign, 2),
+                "sign-GEMM" if bit_gemm._use_sign_gemm(size, size, ki) else "spec",
+            ]
+        )
+    sections.append(
+        render_table(
+            path_headers,
+            path_rows,
+            title="int1: popcount spec vs sign-GEMM (numpy, batch 1, K_valid = K - 1)",
+        )
+    )
+    faster = [row[1] for row in path_rows if row[4] > 1.0]
+    picked_faster = sum((row[4] > 1.0) == (row[5] == "sign-GEMM") for row in path_rows)
+    findings.append(
+        f"int1 sign-GEMM path is bit-identical to the popcount spec "
+        f"({'yes' if path_identical else 'NO'}) at {len(path_rows)} shapes; it was faster "
+        f"at operand reuse {', '.join(f'{r:g}' for r in faster) or 'none'}, and the rule "
+        f"(reuse >= {bit_gemm.SIGN_GEMM_MIN_REUSE}) picked the faster path at "
+        f"{picked_faster}/{len(path_rows)}"
+    )
+
     # -- detected backends ---------------------------------------------------
     avail_headers = ["backend", "version", "device"]
     avail_rows: list[list[object]] = [
@@ -180,6 +235,7 @@ def run(quick: bool = False, backend: str | None = None) -> ExperimentResult:
     tables = {
         "micro": (micro_headers, micro_rows),
         "speedup": (speedup_headers, speedup_rows),
+        "int1_paths": (path_headers, path_rows),
         "backends": (avail_headers, avail_rows),
     }
     return ExperimentResult(

@@ -20,11 +20,46 @@ Operand convention: packed planar matrices ``A``: (..., 2, M, W) and
 ``B``: (..., 2, N, W) uint32 words, W = Kfull/32, K packed along the last
 axis, with identical (possibly empty) leading batch dims. Note B rows are
 indexed by N here (both operands are "K-major"): the transpose kernel
-produces this layout from a (2, K, N) host matrix. All arithmetic is exact
-integer work, so it runs unchanged — and bit-identically — on every
-:class:`~repro.backend.ArrayBackend`; the blocked accumulation builds each
-N-chunk functionally (no in-place slice writes) so immutable-array
-backends such as JAX work too.
+produces this layout from a (2, K, N) host matrix.
+
+Two host implementations
+------------------------
+:func:`popcount_bit_gemm` is the executable specification: Eq. 5 (or Eq. 6
+for ``BitOp.AND``) evaluated literally with XOR/AND and popcount over the
+packed words, blocked over N so the ``(..., M, chunk, W)`` temporary stays
+near :data:`POPC_CHUNK_BYTES`. It is the parity reference of every test
+and of :mod:`repro.backend.validate`, the way
+:func:`~repro.ccglib.packing.pack_sign_planar_scalar` is for packing.
+
+:func:`complex_bit_gemm`, the entry point every caller uses, computes the
+same integers as a matrix multiply where that is faster — Navarro et al.'s
+reduction-as-matmul idea applied to the host BLAS. With ``d_xy`` the ±1
+dot product of rows x and y over the *full* padded K (all ``32*W`` bits,
+so non-zero pad bits are honoured too), ``popc(x ^ y) = (Kfull - d_xy)/2``
+turns Eq. 5 into::
+
+    real = d_rr - d_ii
+    imag = d_ri + d_ir - 2*Kpad
+
+The four ``d_xy`` come from one float32 matmul of the unpacked ±1
+operands. Every partial sum is an integer of magnitude <= Kfull, so each
+``d_xy`` is exact in float32 whatever the summation order while
+``Kfull <= 2**24`` (:data:`F32_EXACT_INT`); they are cast to int32
+before they are combined, which keeps that the only bound. The result
+therefore equals the popcount formulation bit for bit on every input, and
+the AND form of Eq. 6 is the same integer, so ``bit_op`` changes nothing
+here — it still selects the instruction mix the cost model prices.
+
+Path selection: the sign path unpacks ``(M + N) * Kfull`` bits to float32
+and then runs at BLAS speed; the popcount spec does ``M * N * W`` word
+operations with no unpack. The sign path therefore wins once each unpacked
+row is reused by enough rows of the other operand: it is taken when the
+operand reuse ``M*N / (M+N)`` reaches :data:`SIGN_GEMM_MIN_REUSE` and
+``Kfull`` is within the float32 bound, and the popcount spec runs
+otherwise. All arithmetic is exact, so both paths run unchanged — and
+bit-identically — on every :class:`~repro.backend.ArrayBackend`; the
+blocked popcount accumulation builds each N-chunk functionally (no
+in-place slice writes) so immutable-array backends such as JAX work too.
 """
 
 from __future__ import annotations
@@ -37,12 +72,30 @@ from repro.errors import ShapeError
 from repro.gpusim.arch import BitOp
 from repro.util.bits import PACK_WORD_BITS, bits_to_sign, popcount, unpack_bits
 
-#: default N-chunk size for the blocked popcount accumulation; bounds the
-#: (M, chunk, W) temporary to keep functional runs inside a laptop's RAM.
-DEFAULT_N_BLOCK = 128
+#: target size of the uint32 XOR/AND temporary one popcount N-chunk builds
+#: (its int64 popcount is twice that), about one core's L2 cache. Against
+#: the former fixed 128-row chunk on a 2-vCPU x86 host, all four terms:
+#: 186-216 -> 110-117 ms at 1024x256x1024, 188-203 -> 70-72 ms at
+#: 128x128x16384, equal within 4% at 64x64x4096, 32x32x16384 and
+#: 256x256x1024, and 7.2-7.5 -> 7.9-8.0 ms at 1024x16x1024, where the
+#: chunk is two rows.
+POPC_CHUNK_BYTES = 256 * 1024
+
+#: float32 represents every integer of magnitude up to this one exactly.
+F32_EXACT_INT = 2**24
+
+#: operand reuse ``M*N / (M+N)`` from which the sign-GEMM path is taken.
+#: From the "int1: popcount spec vs sign-GEMM" table of ``repro-bench
+#: backend-micro`` (square shapes, one batch item) on a 2-vCPU x86 host
+#: with OpenBLAS: at K 4096 the sign path was 0.5-0.7x the speed of the
+#: spec at reuse 4-8, 1.06x at 16 and 1.6-2.3x at 32; at K 16384 it was
+#: 0.8x at reuse 16 and 0.9-1.3x at 32-64. 32 is the lowest reuse with a
+#: clear win at K 4096 and no clear loss at K 16384.
+SIGN_GEMM_MIN_REUSE = 32
 
 
-def _validate_packed(a_words, b_words) -> tuple[int, int, int]:
+def _validate_packed(a_words, b_words, k_valid: int) -> tuple[int, int, int, int]:
+    """Check the packed operands; return ``(M, N, Kfull, Kpad)``."""
     if a_words.ndim < 3 or a_words.shape[-3] != 2:
         raise ShapeError(f"packed A must be (..., 2, M, W), got {a_words.shape}")
     if b_words.ndim < 3 or b_words.shape[-3] != 2:
@@ -58,7 +111,10 @@ def _validate_packed(a_words, b_words) -> tuple[int, int, int]:
             f"batch mismatch: A has leading dims {a_words.shape[:-3]}, "
             f"B has {b_words.shape[:-3]}"
         )
-    return a_words.shape[-2], b_words.shape[-2], a_words.shape[-1]
+    k_full = a_words.shape[-1] * PACK_WORD_BITS
+    if not 0 < k_valid <= k_full:
+        raise ShapeError(f"k_valid {k_valid} outside (0, {k_full}]")
+    return a_words.shape[-2], b_words.shape[-2], k_full, k_full - k_valid
 
 
 def _popc_gemm(a, b, op: BitOp, n_block: int, be: ArrayBackend):
@@ -83,12 +139,21 @@ def _popc_gemm(a, b, op: BitOp, n_block: int, be: ArrayBackend):
     return xp.concatenate(chunks, axis=-1)
 
 
+def _use_sign_gemm(m: int, n: int, k_full: int) -> bool:
+    """Path selection of :func:`complex_bit_gemm` (module docstring).
+
+    The sign path is exact only while every ±1 dot product over ``k_full``
+    bits is an exactly representable float32 integer; above that bound the
+    popcount spec runs whatever the shape.
+    """
+    return k_full <= F32_EXACT_INT and m * n >= SIGN_GEMM_MIN_REUSE * (m + n)
+
+
 def complex_bit_gemm(
     a_words,
     b_words,
     k_valid: int,
     bit_op: BitOp = BitOp.XOR,
-    n_block: int = DEFAULT_N_BLOCK,
     backend: ArrayBackend | None = None,
 ):
     """Complex 1-bit GEMM on packed operands.
@@ -97,31 +162,58 @@ def complex_bit_gemm(
     ----------
     a_words, b_words:
         Packed planar operands (..., 2, M, W) and (..., 2, N, W) with
-        matching leading batch dims; padding bits (if any) must be binary 0
-        (decimal -1).
+        matching leading batch dims; padding bits should be binary 0
+        (decimal -1), and any other pad bits are treated exactly as
+        :func:`popcount_bit_gemm` treats them.
     k_valid:
         The true K before padding; ``Kpad = 32*W - k_valid`` drives the
         imaginary-part correction of Eq. 5.
     bit_op:
-        ``BitOp.XOR`` uses Eq. 5 directly; ``BitOp.AND`` uses the Hopper
-        formulation of Eq. 6 (two AND-popc passes emulating each XOR-popc).
+        ``BitOp.XOR`` (Eq. 5) or ``BitOp.AND`` (Eq. 6). Both give the same
+        integers; the choice matters to the popcount path's instruction mix
+        and to the cost model.
     backend:
         Optional :class:`~repro.backend.ArrayBackend`; default NumPy.
 
     Returns
     -------
-    (..., 2, M, N) int32 planar result, exact over the valid K region.
+    (..., 2, M, N) int32 planar result, bit-identical to
+    :func:`popcount_bit_gemm` on every input.
+    """
+    be = get_backend(backend)
+    a_words = be.asarray(a_words)
+    b_words = be.asarray(b_words)
+    m, n, k_full, k_pad = _validate_packed(a_words, b_words, k_valid)
+    if _use_sign_gemm(m, n, k_full):
+        return _sign_gemm(a_words, b_words, k_pad, be)
+    return popcount_bit_gemm(a_words, b_words, k_valid, bit_op, backend=be)
+
+
+def popcount_bit_gemm(
+    a_words,
+    b_words,
+    k_valid: int,
+    bit_op: BitOp = BitOp.XOR,
+    n_block: int | None = None,
+    backend: ArrayBackend | None = None,
+):
+    """Executable spec of :func:`complex_bit_gemm`: Eq. 5/6 with popcounts.
+
+    Same operands and result as :func:`complex_bit_gemm`. ``bit_op``
+    selects the XOR (Eq. 5) or AND (Eq. 6) formulation; ``n_block`` fixes
+    the N-chunk size of the blocked accumulation (default: sized from the
+    operand shape to :data:`POPC_CHUNK_BYTES`). The result does not depend
+    on either.
     """
     be = get_backend(backend)
     xp = be.xp
     a_words = be.asarray(a_words)
     b_words = be.asarray(b_words)
-    _validate_packed(a_words, b_words)
-    w = a_words.shape[-1]
-    k_full = w * PACK_WORD_BITS
-    if not 0 < k_valid <= k_full:
-        raise ShapeError(f"k_valid {k_valid} outside (0, {k_full}]")
-    k_pad = k_full - k_valid
+    _, _, k_full, k_pad = _validate_packed(a_words, b_words, k_valid)
+    if n_block is None:
+        # Each row of a chunk meets one whole plane of A: batch x M x W words.
+        plane_bytes = a_words.size // 2 * 4
+        n_block = max(1, POPC_CHUNK_BYTES // max(1, plane_bytes))
 
     a_re, a_im = a_words[..., REAL, :, :], a_words[..., IMAG, :, :]
     b_re, b_im = b_words[..., REAL, :, :], b_words[..., IMAG, :, :]
@@ -149,6 +241,31 @@ def complex_bit_gemm(
     real = 2 * (k_full - (p_rr + p_ii))
     imag = 2 * (k_full - k_pad - (p_ri + p_ir))
     return xp.stack([real, imag], axis=-3).astype(xp.int32)
+
+
+def _sign_gemm(a_words, b_words, k_pad: int, be: ArrayBackend):
+    """Eq. 5 as one exact float32 matmul of ±1 rows (module docstring).
+
+    Stacking the Re and Im planes along the row axis — a free reshape of
+    the planar layout — makes a single ``(2M, Kfull) @ (Kfull, 2N)``
+    product whose four quadrants are ``d_rr``, ``d_ri``, ``d_ir`` and
+    ``d_ii``: one BLAS call with twice the operand reuse of four separate
+    ones.
+    """
+    xp = be.xp
+    m, n = a_words.shape[-2], b_words.shape[-2]
+    a = _sign_rows(a_words, be)
+    b = _sign_rows(b_words, be)
+    d = be.astype(be.matmul(a, xp.swapaxes(b, -1, -2)), xp.int32)
+    d_rr, d_ri = d[..., :m, :n], d[..., :m, n:]
+    d_ir, d_ii = d[..., m:, :n], d[..., m:, n:]
+    return xp.stack([d_rr - d_ii, d_ri + d_ir - 2 * k_pad], axis=-3)
+
+
+def _sign_rows(words, be: ArrayBackend):
+    """(..., 2, R, W) packed words -> (..., 2R, 32W) float32 ±1, Re rows first."""
+    signs = bits_to_sign(unpack_bits(words, backend=be), dtype=be.xp.float32, backend=be)
+    return signs.reshape(signs.shape[:-3] + (2 * signs.shape[-2], signs.shape[-1]))
 
 
 def _and_same_count(a, b, n_block: int, be: ArrayBackend):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,6 +96,21 @@ class TestChannelizer:
     def test_prototype_unit_dc_gain(self):
         h = PolyphaseFilterbank(16, 8).prototype()
         assert h.sum() == pytest.approx(1.0)
+
+    def test_package_import_leaves_scipy_signal_unloaded(self):
+        # A fresh interpreter: this test session may have loaded it already.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, repro.apps.radioastronomy; print('scipy.signal' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert out.stdout.strip() == "False"
 
     def test_channel_frequencies(self):
         pfb = PolyphaseFilterbank(4, 2)

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import numpy_backend
+from repro.ccglib import bit_gemm
 from repro.ccglib.bit_gemm import (
+    F32_EXACT_INT,
+    SIGN_GEMM_MIN_REUSE,
     bit_gemm_reference,
     complex_bit_gemm,
+    popcount_bit_gemm,
     real_bit_dot,
     real_bit_dot_and,
     unpack_planar,
@@ -72,8 +77,8 @@ class TestComplexBitGemm:
         a_bits, b_bits, k = problem
         a_w, b_w = _pack_planar_bits(a_bits), _pack_planar_bits(b_bits)
         assert np.array_equal(
-            complex_bit_gemm(a_w, b_w, k, BitOp.XOR),
-            complex_bit_gemm(a_w, b_w, k, BitOp.AND),
+            popcount_bit_gemm(a_w, b_w, k, BitOp.XOR),
+            popcount_bit_gemm(a_w, b_w, k, BitOp.AND),
         )
 
     def test_exact_at_word_boundary(self, rng):
@@ -120,10 +125,53 @@ class TestComplexBitGemm:
         a_bits = rng.integers(0, 2, size=(2, 3, 96)).astype(np.uint8)
         b_bits = rng.integers(0, 2, size=(2, 7, 96)).astype(np.uint8)
         a_w, b_w = _pack_planar_bits(a_bits), _pack_planar_bits(b_bits)
-        assert np.array_equal(
-            complex_bit_gemm(a_w, b_w, 96, n_block=2),
-            complex_bit_gemm(a_w, b_w, 96, n_block=128),
-        )
+        want = popcount_bit_gemm(a_w, b_w, 96)
+        for n_block in (1, 2, 128):
+            for op in BitOp:
+                assert np.array_equal(popcount_bit_gemm(a_w, b_w, 96, op, n_block=n_block), want)
+
+
+@st.composite
+def raw_word_problem(draw):
+    """Random packed words, pad bits included, on either side of the path rule."""
+    batch = draw(st.sampled_from([(), (2,), (2, 3)]))
+    small = st.integers(1, 9)
+    large = st.integers(2 * SIGN_GEMM_MIN_REUSE, 2 * SIGN_GEMM_MIN_REUSE + 40)
+    m = draw(st.one_of(small, large))
+    n = draw(st.one_of(small, large))
+    w = draw(st.integers(1, 3))
+    k_valid = draw(st.integers(1, 32 * w))
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, 2**32, size=batch + (2, m, w), dtype=np.uint32)
+    b = rng.integers(0, 2**32, size=batch + (2, n, w), dtype=np.uint32)
+    return a, b, k_valid, draw(st.sampled_from(list(BitOp)))
+
+
+class TestSignGemmPath:
+    """The sign-GEMM fast path equals the popcount spec bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw_word_problem())
+    def test_fast_path_matches_spec(self, problem):
+        a, b, k_valid, op = problem
+        want = popcount_bit_gemm(a, b, k_valid, op)
+        k_pad = 32 * a.shape[-1] - k_valid
+        assert np.array_equal(bit_gemm._sign_gemm(a, b, k_pad, numpy_backend()), want)
+        got = complex_bit_gemm(a, b, k_valid, op)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+
+    def test_selection_rule_sides(self):
+        r = SIGN_GEMM_MIN_REUSE
+        assert bit_gemm._use_sign_gemm(2 * r, 2 * r, 1024)
+        assert not bit_gemm._use_sign_gemm(2 * r - 2, 2 * r - 2, 1024)
+        assert not bit_gemm._use_sign_gemm(1, 10**6, 1024)
+
+    def test_exactness_guard_routes_long_k_to_spec(self):
+        # Above the float32 bound the spec runs, whatever the operand reuse.
+        assert bit_gemm._use_sign_gemm(4096, 4096, F32_EXACT_INT)
+        assert not bit_gemm._use_sign_gemm(4096, 4096, F32_EXACT_INT + 32)
 
 
 class TestRealBitDot:
@@ -134,6 +182,12 @@ class TestRealBitDot:
         b = rng.integers(0, 2**32, size=words, dtype=np.uint32)
         k = 32 * words
         assert real_bit_dot(a, b, k) == real_bit_dot_and(a, b, k)
+        # The complex spec's XOR and AND formulations agree on the same words.
+        planar_a, planar_b = np.stack([a, ~b])[:, None], np.stack([b, a])[:, None]
+        assert np.array_equal(
+            popcount_bit_gemm(planar_a, planar_b, k, BitOp.XOR),
+            popcount_bit_gemm(planar_a, planar_b, k, BitOp.AND),
+        )
 
     @given(st.integers(0, 2**31), st.integers(1, 3))
     def test_matches_sign_arithmetic(self, seed, words):
