@@ -14,9 +14,9 @@ every detected :mod:`repro.backend` array backend. Two purposes:
   floor, so a future change that quietly de-vectorizes the hot path fails
   the bench; the packed 1-bit GEMM likewise runs both its popcount
   executable spec (:func:`repro.ccglib.bit_gemm.popcount_bit_gemm`) and
-  its sign-GEMM fast path over a sweep of operand reuse, the measurement
-  :data:`repro.ccglib.bit_gemm.SIGN_GEMM_MIN_REUSE` is chosen from, with a
-  bit-identity check and no wall-clock floor;
+  its sign-GEMM fast path over a sweep of operand reuse, which shows where
+  the fast path's unpack cost stops paying off, with a bit-identity check
+  and no wall-clock floor;
 * **compare backends**: the same pipeline entry points run per backend
   (NumPy always; CuPy/JAX when importable), giving a like-for-like
   throughput table and exercising the cross-backend code paths in CI.
@@ -53,7 +53,7 @@ _TIMING_REPS = 3
 
 #: square M = N sizes of the int1 spec-vs-sign table, run at the K of the
 #: int1 micro shape: operand reuse M*N/(M+N) of 4 to 64 brackets the
-#: crossover that SIGN_GEMM_MIN_REUSE is set from.
+#: shape below which the popcount spec is the faster path.
 _INT1_PATH_SIZES = (8, 16, 32, 64, 128)
 
 
@@ -174,7 +174,7 @@ def run(quick: bool = False, backend: str | None = None) -> ExperimentResult:
     )
 
     # -- int1: popcount spec vs sign-GEMM -----------------------------------
-    path_headers = ["M x N x K", "reuse", "spec (ms)", "sign-GEMM (ms)", "speedup", "rule picks"]
+    path_headers = ["M x N x K", "reuse", "spec (ms)", "sign-GEMM (ms)", "speedup"]
     path_rows: list[list[object]] = []
     path_identical = True
     for size in _INT1_PATH_SIZES:
@@ -198,7 +198,6 @@ def run(quick: bool = False, backend: str | None = None) -> ExperimentResult:
                 round(t_spec * 1e3, 3),
                 round(t_sign * 1e3, 3),
                 round(t_spec / t_sign, 2),
-                "sign-GEMM" if bit_gemm._use_sign_gemm(size, size, ki) else "spec",
             ]
         )
     sections.append(
@@ -209,13 +208,10 @@ def run(quick: bool = False, backend: str | None = None) -> ExperimentResult:
         )
     )
     faster = [row[1] for row in path_rows if row[4] > 1.0]
-    picked_faster = sum((row[4] > 1.0) == (row[5] == "sign-GEMM") for row in path_rows)
     findings.append(
         f"int1 sign-GEMM path is bit-identical to the popcount spec "
         f"({'yes' if path_identical else 'NO'}) at {len(path_rows)} shapes; it was faster "
-        f"at operand reuse {', '.join(f'{r:g}' for r in faster) or 'none'}, and the rule "
-        f"(reuse >= {bit_gemm.SIGN_GEMM_MIN_REUSE}) picked the faster path at "
-        f"{picked_faster}/{len(path_rows)}"
+        f"at operand reuse {', '.join(f'{r:g}' for r in faster) or 'none'}"
     )
 
     # -- detected backends ---------------------------------------------------

@@ -50,16 +50,19 @@ therefore equals the popcount formulation bit for bit on every input, and
 the AND form of Eq. 6 is the same integer, so ``bit_op`` changes nothing
 here — it still selects the instruction mix the cost model prices.
 
-Path selection: the sign path unpacks ``(M + N) * Kfull`` bits to float32
-and then runs at BLAS speed; the popcount spec does ``M * N * W`` word
-operations with no unpack. The sign path therefore wins once each unpacked
-row is reused by enough rows of the other operand: it is taken when the
-operand reuse ``M*N / (M+N)`` reaches :data:`SIGN_GEMM_MIN_REUSE` and
-``Kfull`` is within the float32 bound, and the popcount spec runs
-otherwise. All arithmetic is exact, so both paths run unchanged — and
-bit-identically — on every :class:`~repro.backend.ArrayBackend`; the
-blocked popcount accumulation builds each N-chunk functionally (no
-in-place slice writes) so immutable-array backends such as JAX work too.
+Path selection: the sign path runs whenever ``Kfull`` is within the
+float32 bound; above it the popcount spec runs. The sign path unpacks
+``(M + N) * Kfull`` bits to float32 before the BLAS call, so on very thin
+shapes (operand reuse ``M*N / (M+N)`` below about 16, the "int1: popcount
+spec vs sign-GEMM" table of ``repro-bench backend-micro``) the spec would
+be faster. Such shapes are small — single-beam or toy GEMMs whose whole
+call takes well under a millisecond either way — while the shapes where
+the 1-bit GEMM costs time (ultrasound imaging: reuse ~200-250) are far
+above it, so no shape-dependent switch is kept. All arithmetic is exact, so both paths
+run unchanged — and bit-identically — on every
+:class:`~repro.backend.ArrayBackend`; the blocked popcount accumulation
+builds each N-chunk functionally (no in-place slice writes) so
+immutable-array backends such as JAX work too.
 """
 
 from __future__ import annotations
@@ -83,15 +86,6 @@ POPC_CHUNK_BYTES = 256 * 1024
 
 #: float32 represents every integer of magnitude up to this one exactly.
 F32_EXACT_INT = 2**24
-
-#: operand reuse ``M*N / (M+N)`` from which the sign-GEMM path is taken.
-#: From the "int1: popcount spec vs sign-GEMM" table of ``repro-bench
-#: backend-micro`` (square shapes, one batch item) on a 2-vCPU x86 host
-#: with OpenBLAS: at K 4096 the sign path was 0.5-0.7x the speed of the
-#: spec at reuse 4-8, 1.06x at 16 and 1.6-2.3x at 32; at K 16384 it was
-#: 0.8x at reuse 16 and 0.9-1.3x at 32-64. 32 is the lowest reuse with a
-#: clear win at K 4096 and no clear loss at K 16384.
-SIGN_GEMM_MIN_REUSE = 32
 
 
 def _validate_packed(a_words, b_words, k_valid: int) -> tuple[int, int, int, int]:
@@ -139,14 +133,14 @@ def _popc_gemm(a, b, op: BitOp, n_block: int, be: ArrayBackend):
     return xp.concatenate(chunks, axis=-1)
 
 
-def _use_sign_gemm(m: int, n: int, k_full: int) -> bool:
+def _use_sign_gemm(k_full: int) -> bool:
     """Path selection of :func:`complex_bit_gemm` (module docstring).
 
     The sign path is exact only while every ±1 dot product over ``k_full``
     bits is an exactly representable float32 integer; above that bound the
-    popcount spec runs whatever the shape.
+    popcount spec runs.
     """
-    return k_full <= F32_EXACT_INT and m * n >= SIGN_GEMM_MIN_REUSE * (m + n)
+    return k_full <= F32_EXACT_INT
 
 
 def complex_bit_gemm(
@@ -183,8 +177,8 @@ def complex_bit_gemm(
     be = get_backend(backend)
     a_words = be.asarray(a_words)
     b_words = be.asarray(b_words)
-    m, n, k_full, k_pad = _validate_packed(a_words, b_words, k_valid)
-    if _use_sign_gemm(m, n, k_full):
+    _, _, k_full, k_pad = _validate_packed(a_words, b_words, k_valid)
+    if _use_sign_gemm(k_full):
         return _sign_gemm(a_words, b_words, k_pad, be)
     return popcount_bit_gemm(a_words, b_words, k_valid, bit_op, backend=be)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.backend import available_backends, get_backend, numpy_backend
 from repro.backend.conformance import require_conformant
-from repro.ccglib.bit_gemm import SIGN_GEMM_MIN_REUSE, complex_bit_gemm, popcount_bit_gemm
+from repro.ccglib.bit_gemm import complex_bit_gemm, popcount_bit_gemm
 from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
 from repro.ccglib.gemm import gemm_once
 from repro.ccglib.layouts import to_planar
@@ -105,13 +105,12 @@ class TestGemmParity:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("k", [1, 45, 96])
-    def test_int1_sign_path_exact(self, backend_name, k):
-        # Operand reuse above the selection rule: the sign-GEMM path runs.
+    def test_int1_raw_words_exact(self, backend_name, k):
+        # Random words, non-zero pad bits included, on a batched operand.
         be = get_backend(backend_name)
-        size = 2 * SIGN_GEMM_MIN_REUSE
         rng = np.random.default_rng(k)
-        aw = rng.integers(0, 2**32, size=(2, 2, size, _pad32(k) // 32), dtype=np.uint32)
-        bw = rng.integers(0, 2**32, size=(2, 2, size + 3, _pad32(k) // 32), dtype=np.uint32)
+        aw = rng.integers(0, 2**32, size=(2, 2, 9, _pad32(k) // 32), dtype=np.uint32)
+        bw = rng.integers(0, 2**32, size=(2, 2, 12, _pad32(k) // 32), dtype=np.uint32)
         got = be.to_numpy(complex_bit_gemm(be.asarray(aw), be.asarray(bw), k_valid=k, backend=be))
         assert np.array_equal(got, np.asarray(popcount_bit_gemm(aw, bw, k_valid=k)))
 

@@ -115,14 +115,9 @@ class TestBackendMicroFindings:
         assert any("PASS" in f and "bit-identical" in f for f in result.findings)
 
     def test_int1_path_table_is_bit_identical(self):
-        from repro.ccglib.bit_gemm import SIGN_GEMM_MIN_REUSE
-
         result = _get("backend-micro")
         headers, rows = result.tables["int1_paths"]
-        reuse = [row[headers.index("reuse")] for row in rows]
-        # the sweep brackets the selection rule: both paths get picked
-        assert min(reuse) < SIGN_GEMM_MIN_REUSE <= max(reuse)
-        assert {row[headers.index("rule picks")] for row in rows} == {"spec", "sign-GEMM"}
+        assert [row[headers.index("reuse")] for row in rows] == [4, 8, 16, 32, 64]
         assert any("sign-GEMM path is bit-identical" in f and "(yes)" in f for f in result.findings)
 
     def test_backends_table_covers_detected_set(self):

@@ -11,7 +11,6 @@ from repro.backend import numpy_backend
 from repro.ccglib import bit_gemm
 from repro.ccglib.bit_gemm import (
     F32_EXACT_INT,
-    SIGN_GEMM_MIN_REUSE,
     bit_gemm_reference,
     complex_bit_gemm,
     popcount_bit_gemm,
@@ -133,12 +132,10 @@ class TestComplexBitGemm:
 
 @st.composite
 def raw_word_problem(draw):
-    """Random packed words, pad bits included, on either side of the path rule."""
+    """Random packed words, pad bits included."""
     batch = draw(st.sampled_from([(), (2,), (2, 3)]))
-    small = st.integers(1, 9)
-    large = st.integers(2 * SIGN_GEMM_MIN_REUSE, 2 * SIGN_GEMM_MIN_REUSE + 40)
-    m = draw(st.one_of(small, large))
-    n = draw(st.one_of(small, large))
+    m = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 40))
     w = draw(st.integers(1, 3))
     k_valid = draw(st.integers(1, 32 * w))
     seed = draw(st.integers(0, 2**31))
@@ -162,16 +159,10 @@ class TestSignGemmPath:
         assert got.dtype == np.int32
         assert np.array_equal(got, want)
 
-    def test_selection_rule_sides(self):
-        r = SIGN_GEMM_MIN_REUSE
-        assert bit_gemm._use_sign_gemm(2 * r, 2 * r, 1024)
-        assert not bit_gemm._use_sign_gemm(2 * r - 2, 2 * r - 2, 1024)
-        assert not bit_gemm._use_sign_gemm(1, 10**6, 1024)
-
     def test_exactness_guard_routes_long_k_to_spec(self):
-        # Above the float32 bound the spec runs, whatever the operand reuse.
-        assert bit_gemm._use_sign_gemm(4096, 4096, F32_EXACT_INT)
-        assert not bit_gemm._use_sign_gemm(4096, 4096, F32_EXACT_INT + 32)
+        # Above the float32 bound the popcount spec runs.
+        assert bit_gemm._use_sign_gemm(F32_EXACT_INT)
+        assert not bit_gemm._use_sign_gemm(F32_EXACT_INT + 32)
 
 
 class TestRealBitDot:
