@@ -58,7 +58,8 @@ class ArrayBackend(abc.ABC):
     CuPy and ``jax.numpy`` mirror, so most operations route through the
     :attr:`xp` namespace directly. Only the operations that differ across
     libraries — conversion, matmul dispatch, population count, same-width
-    bitcasts, host synchronization — are protocol methods.
+    bitcasts, complex assembly from planes, host synchronization — are
+    protocol methods.
 
     Implementations must be stateless (one instance serves every plan) and
     must raise nothing at *construction* time beyond
@@ -139,6 +140,22 @@ class ArrayBackend(abc.ABC):
         JAX needs ``lax.bitcast_convert_type``.
         """
         return values.view(dtype)
+
+    def complex_from_planes(self, real: Any, imag: Any) -> Any:
+        """Complex array whose planes are ``real`` and ``imag``, bit for bit.
+
+        Both planes share one shape and one float dtype: float32 planes give
+        complex64, float64 planes complex128. Unlike ``real + 1j * imag``
+        this keeps −0 and infinities as they are. NumPy and CuPy write the
+        ``.real``/``.imag`` views of an empty complex array; JAX overrides it
+        with ``lax.complex``.
+        """
+        xp = self.xp
+        dtype = xp.complex128 if real.dtype == xp.float64 else xp.complex64
+        out = xp.empty(real.shape, dtype=dtype)
+        out.real = real
+        out.imag = imag
+        return out
 
     def synchronize(self) -> None:
         """Block until queued device work completes (no-op on host backends).

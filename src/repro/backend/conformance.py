@@ -32,6 +32,7 @@ def check_backend(backend: ArrayBackend) -> list[str]:
     problems += _check_matmul(backend)
     problems += _check_popcount(backend)
     problems += _check_bitcast(backend)
+    problems += _check_complex_from_planes(backend)
     problems += _check_namespace(backend)
     return problems
 
@@ -121,6 +122,20 @@ def _check_bitcast(backend: ArrayBackend) -> list[str]:
     back = backend.to_numpy(backend.bitcast(bits, np.float32)).reshape(-1)
     if not np.array_equal(back, want.view(np.float32)):
         return ["bitcast(uint32 -> float32) must invert bitcast(float32 -> uint32)"]
+    return []
+
+
+def _check_complex_from_planes(backend: ArrayBackend) -> list[str]:
+    """Planes -> complex64 keeps every bit: -0 and infinities included."""
+    real = np.array([[1.0, -0.0, np.inf]], dtype=np.float32)
+    imag = np.array([[np.inf, 0.0, -2.5]], dtype=np.float32)
+    got = backend.to_numpy(
+        backend.complex_from_planes(backend.asarray(real), backend.asarray(imag))
+    )
+    if got.dtype != np.complex64 or got.shape != real.shape:
+        return [f"complex_from_planes(float32) produced {got.dtype} {got.shape}"]
+    if got.real.tobytes() != real.tobytes() or got.imag.tobytes() != imag.tobytes():
+        return ["complex_from_planes must copy both planes bit for bit (-0, inf)"]
     return []
 
 

@@ -11,7 +11,8 @@ installed jaxlib has one. Two JAX-isms the backend papers over:
   per-dtype tolerances of :mod:`repro.backend.validate` rather than
   dtype equality;
 * same-width dtype reinterpretation is ``lax.bitcast_convert_type``,
-  not ``ndarray.view``.
+  not ``ndarray.view``, and complex assembly from two planes is
+  ``lax.complex``, not a write into ``.real``/``.imag``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,9 @@ class JaxBackend(ArrayBackend):
 
     def bitcast(self, values: Any, dtype: Any) -> Any:
         return self._jax.lax.bitcast_convert_type(values, dtype)
+
+    def complex_from_planes(self, real: Any, imag: Any) -> Any:
+        return self._jax.lax.complex(real, imag)
 
     def synchronize(self) -> None:
         # block_until_ready exists on arrays, not the namespace; a tiny

@@ -8,7 +8,10 @@ deterministic set of seeded shapes and compares against the NumPy backend
 with the per-precision tolerances of
 :data:`repro.ccglib.precision.PARITY_TOLERANCES` — exact (bit-for-bit) for
 the integer 1-bit path, small float tolerances for float16/TF32 where
-backends may legitimately fuse or reorder the arithmetic.
+backends may legitimately fuse or reorder the arithmetic. The
+``f16-spec``/``tf32-spec`` cases hold the reference backend's batched
+float paths to their single-tile specs at zero tolerance, byte for byte,
+so a change to the reference accumulation order fails here too.
 
 Run it directly (exits non-zero on any failure)::
 
@@ -30,7 +33,12 @@ import numpy as np
 from repro.backend import ArrayBackend, available_backends, get_backend, numpy_backend
 from repro.backend.conformance import check_backend
 from repro.ccglib.bit_gemm import complex_bit_gemm, popcount_bit_gemm
-from repro.ccglib.complex_mma import complex_mma_f16_batched, complex_mma_tf32_batched
+from repro.ccglib.complex_mma import (
+    complex_mma_f16,
+    complex_mma_f16_batched,
+    complex_mma_tf32,
+    complex_mma_tf32_batched,
+)
 from repro.ccglib.layouts import to_planar
 from repro.ccglib.packing import pack_sign_planar, unpack_sign_planar
 from repro.ccglib.precision import Precision, parity_tolerance
@@ -97,6 +105,28 @@ def _compare(
     if np.allclose(got, want, rtol=rtol, atol=atol):
         return CaseResult(case, True, max_abs_err=err)
     return CaseResult(case, False, max_abs_err=err, detail=f"tolerance rtol={rtol}, atol={atol}")
+
+
+def _compare_bytes(case: str, got: np.ndarray, want: np.ndarray) -> CaseResult:
+    """Zero tolerance in the strict sense: dtype, shape and every byte."""
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return CaseResult(
+            case, False, detail=f"{got.dtype}{got.shape} != {want.dtype}{want.shape}"
+        )
+    if got.tobytes() == want.tobytes():
+        return CaseResult(case, True)
+    err = float(np.max(np.abs(got.astype(np.complex128) - want))) if got.size else 0.0
+    return CaseResult(case, False, max_abs_err=err, detail="bytes differ from the tile spec")
+
+
+def _spec_loop(spec, a_planar: np.ndarray, b_planar: np.ndarray) -> np.ndarray:
+    """A single-tile spec run per batch item, assembled into complex64."""
+    ref = numpy_backend()
+    out = np.empty(a_planar.shape[:-3] + (a_planar.shape[-2], b_planar.shape[-1]), np.complex64)
+    for idx in np.ndindex(*a_planar.shape[:-3]):
+        planes = spec(a_planar[idx], b_planar[idx])
+        out[idx] = ref.complex_from_planes(planes[0], planes[1])
+    return out
 
 
 def validate_backend(
@@ -168,6 +198,16 @@ def validate_backend(
         report.cases.append(
             _compare(f"tf32-gemm/{tag}", got / scale, want / scale, tol.rtol, tol.atol)
         )
+
+        # -- the reference fast paths against their tile specs, byte for byte -
+        for label, batched, spec in (
+            ("f16-spec", complex_mma_f16_batched, complex_mma_f16),
+            ("tf32-spec", complex_mma_tf32_batched, complex_mma_tf32),
+        ):
+            got = np.asarray(batched(a_planar, b_planar, backend=ref))
+            report.cases.append(
+                _compare_bytes(f"{label}/{tag}", got, _spec_loop(spec, a_planar, b_planar))
+            )
 
     # -- raw word-level pack/unpack and the RMS reduction ---------------------
     raw_bits = (rng.integers(0, 2, size=(3, 5, 64))).astype(np.uint8)

@@ -23,11 +23,15 @@ every detected :mod:`repro.backend` array backend. Two purposes:
 
 Wall-clock numbers vary with the host, so the bench-history gate tracks
 them with deliberately wide tolerances — the gate exists to catch a
-de-vectorization cliff, not scheduler jitter.
+de-vectorization cliff, not scheduler jitter. The ``host`` table records
+the BLAS library NumPy was built against and the thread-count variables
+the run saw, so an outlier cell (a multi-threaded OpenBLAS can take ~100x
+longer on a thin matmul now and then) can be traced to its setting.
 """
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -68,6 +72,29 @@ def _best_time(fn, be, reps: int = _TIMING_REPS) -> float:
         be.synchronize()
         best = min(best, time.perf_counter() - t0)
     return max(best, 1e-9)
+
+
+#: thread-count variables that decide how many threads BLAS starts.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _host_blas() -> list[list[object]]:
+    """``[field, value]`` rows: NumPy's BLAS library and the thread settings.
+
+    The variables are read, never set; an unset one reads ``unset`` (BLAS
+    then picks its own thread count, one per core for OpenBLAS).
+    """
+    blas: dict = {}
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # NumPy < 1.25 only prints its config
+        pass
+    rows: list[list[object]] = [
+        ["blas", str(blas.get("name", "unknown"))],
+        ["blas_version", str(blas.get("version", "unknown"))],
+    ]
+    rows += [[var, os.environ.get(var, "unset")] for var in _THREAD_VARS]
+    return rows
 
 
 def run(quick: bool = False, backend: str | None = None) -> ExperimentResult:
@@ -228,11 +255,18 @@ def run(quick: bool = False, backend: str | None = None) -> ExperimentResult:
         + ", ".join(str(r[0]) for r in avail_rows)
     )
 
+    host_headers = ["field", "value"]
+    host_rows = _host_blas()
+    sections.append(
+        render_table(host_headers, host_rows, title="BLAS library and thread settings")
+    )
+
     tables = {
         "micro": (micro_headers, micro_rows),
         "speedup": (speedup_headers, speedup_rows),
         "int1_paths": (path_headers, path_rows),
         "backends": (avail_headers, avail_rows),
+        "host": (host_headers, host_rows),
     }
     return ExperimentResult(
         name="backend-micro",

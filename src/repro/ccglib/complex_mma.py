@@ -16,18 +16,28 @@ fragment model of :mod:`repro.gpusim.tensorcore`) so tests can verify it
 against a straightforward complex reference, including the float16
 quantization the hardware applies to the inputs.
 
-Two tiers of entry point exist:
+Two tiers of entry point exist, each one schedule body with the fragment
+quantizer as its argument (float16 or TensorFloat-32):
 
 * the single-tile functions (:func:`complex_mma_f16`,
   :func:`complex_mma_tf32`) — NumPy-only, one (2, m, k) tile at a time,
-  mirroring one warp's fragment schedule;
+  mirroring one warp's fragment schedule. They are the executable spec;
 * the batched functions (:func:`complex_mma_f16_batched`,
-  :func:`complex_mma_tf32_batched`) — the production hot path: one fused
-  batched ``matmul`` per schedule step over (..., 2, m, k) operands, on
-  any :class:`~repro.backend.ArrayBackend`. On NumPy a batched ``matmul``
-  is bit-identical to the per-item loop (verified; ``einsum`` is *not*,
-  which is why the schedule uses ``matmul`` exclusively), so replacing
-  the loop changes no golden output.
+  :func:`complex_mma_tf32_batched`) — the production hot path on any
+  :class:`~repro.backend.ArrayBackend`. Each operand is quantized and
+  widened to float32 once, each schedule step is one batched ``matmul``
+  over all leading dims, and the two planes are written straight into the
+  complex64 output.
+
+The batched path is byte-identical to a per-item loop of the spec. Its
+four ``matmul`` calls take the spec's operands at the spec's shapes, and
+on NumPy a batched ``matmul`` equals the looped 2-D one exactly (``einsum``
+does *not*, which is why the schedule uses ``matmul`` only). The spec
+starts from zero accumulators, so its first product of each plane is
+``0 + prod``; the only thing that changes is −0 becoming +0, and the spec
+output is never −0. The batched path keeps that map as a ``+ 0.0`` on the
+accumulated planes: ``(rr + p) + 0`` equals ``(0 + rr) + p`` for every
+float32 value, signed zeros included.
 """
 
 from __future__ import annotations
@@ -38,6 +48,33 @@ from repro.backend import ArrayBackend, get_backend
 from repro.ccglib.layouts import IMAG, REAL
 from repro.errors import ShapeError
 from repro.gpusim.tensorcore import mma_f16, mma_tf32, quantize_f16, quantize_tf32
+
+
+def _tile_schedule(a_planar, b_planar, c_planar, quantize, mma) -> np.ndarray:
+    """The 5-step schedule on one tile with the given fragment quantizer/MMA."""
+    if a_planar.ndim != 3 or a_planar.shape[0] != 2:
+        raise ShapeError(f"a_planar must be (2, m, k), got {a_planar.shape}")
+    if b_planar.ndim != 3 or b_planar.shape[0] != 2:
+        raise ShapeError(f"b_planar must be (2, k, n), got {b_planar.shape}")
+    a_re, a_im = quantize(a_planar[REAL]), quantize(a_planar[IMAG])
+    b_re, b_im = quantize(b_planar[REAL]), quantize(b_planar[IMAG])
+
+    m, n = a_re.shape[0], b_re.shape[1]
+    if c_planar is None:
+        c_re = np.zeros((m, n), dtype=np.float32)
+        c_im = np.zeros((m, n), dtype=np.float32)
+    else:
+        if c_planar.shape != (2, m, n):
+            raise ShapeError(f"c_planar must be (2, {m}, {n}), got {c_planar.shape}")
+        c_re = c_planar[REAL].astype(np.float32)
+        c_im = c_planar[IMAG].astype(np.float32)
+
+    c_re = mma(a_re, b_re, c_re)        # step 1
+    c_im = mma(a_re, b_im, c_im)        # step 2
+    b_im_neg = -b_im                    # step 3 (registers only)
+    c_re = mma(a_im, b_im_neg, c_re)    # step 4
+    c_im = mma(a_im, b_re, c_im)        # step 5
+    return np.stack([c_re, c_im])
 
 
 def complex_mma_f16(
@@ -55,31 +92,20 @@ def complex_mma_f16(
     exactly like the kernel does — float16 negation is exact, so steps 3+4
     equal a true subtraction of ``Im(A) Im(B)``.
     """
-    if a_planar.ndim != 3 or a_planar.shape[0] != 2:
-        raise ShapeError(f"a_planar must be (2, m, k), got {a_planar.shape}")
-    if b_planar.ndim != 3 or b_planar.shape[0] != 2:
-        raise ShapeError(f"b_planar must be (2, k, n), got {b_planar.shape}")
-    a_re = quantize_f16(a_planar[REAL])
-    a_im = quantize_f16(a_planar[IMAG])
-    b_re = quantize_f16(b_planar[REAL])
-    b_im = quantize_f16(b_planar[IMAG])
+    return _tile_schedule(a_planar, b_planar, c_planar, quantize_f16, mma_f16)
 
-    m, n = a_re.shape[0], b_re.shape[1]
-    if c_planar is None:
-        c_re = np.zeros((m, n), dtype=np.float32)
-        c_im = np.zeros((m, n), dtype=np.float32)
-    else:
-        if c_planar.shape != (2, m, n):
-            raise ShapeError(f"c_planar must be (2, {m}, {n}), got {c_planar.shape}")
-        c_re = c_planar[REAL].astype(np.float32)
-        c_im = c_planar[IMAG].astype(np.float32)
 
-    c_re = mma_f16(a_re, b_re, c_re)        # step 1
-    c_im = mma_f16(a_re, b_im, c_im)        # step 2
-    b_im_neg = -b_im                        # step 3 (registers only)
-    c_re = mma_f16(a_im, b_im_neg, c_re)    # step 4
-    c_im = mma_f16(a_im, b_re, c_im)        # step 5
-    return np.stack([c_re, c_im])
+def complex_mma_tf32(
+    a_planar: np.ndarray,
+    b_planar: np.ndarray,
+    c_planar: np.ndarray | None = None,
+) -> np.ndarray:
+    """The 5-step schedule with TensorFloat-32 fragments (experimental §VI).
+
+    Same structure as :func:`complex_mma_f16`; the inputs keep float32
+    range with 10-bit mantissas.
+    """
+    return _tile_schedule(a_planar, b_planar, c_planar, quantize_tf32, mma_tf32)
 
 
 def complex_mma_f16_naive(
@@ -110,36 +136,6 @@ def reference_complex_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128) @ np.asarray(b, dtype=np.complex128)
 
 
-def complex_mma_tf32(
-    a_planar: np.ndarray,
-    b_planar: np.ndarray,
-    c_planar: np.ndarray | None = None,
-) -> np.ndarray:
-    """The 5-step schedule with TensorFloat-32 fragments (experimental §VI).
-
-    Same structure as :func:`complex_mma_f16`; the inputs keep float32
-    range with 10-bit mantissas.
-    """
-    if a_planar.ndim != 3 or a_planar.shape[0] != 2:
-        raise ShapeError(f"a_planar must be (2, m, k), got {a_planar.shape}")
-    if b_planar.ndim != 3 or b_planar.shape[0] != 2:
-        raise ShapeError(f"b_planar must be (2, k, n), got {b_planar.shape}")
-    a_re, a_im = quantize_tf32(a_planar[REAL]), quantize_tf32(a_planar[IMAG])
-    b_re, b_im = quantize_tf32(b_planar[REAL]), quantize_tf32(b_planar[IMAG])
-    m, n = a_re.shape[0], b_re.shape[1]
-    if c_planar is None:
-        c_re = np.zeros((m, n), dtype=np.float32)
-        c_im = np.zeros((m, n), dtype=np.float32)
-    else:
-        c_re = c_planar[REAL].astype(np.float32)
-        c_im = c_planar[IMAG].astype(np.float32)
-    c_re = mma_tf32(a_re, b_re, c_re)
-    c_im = mma_tf32(a_re, b_im, c_im)
-    c_re = mma_tf32(a_im, -b_im, c_re)
-    c_im = mma_tf32(a_im, b_re, c_im)
-    return np.stack([c_re, c_im])
-
-
 def _validate_batched_planar(a_planar, b_planar) -> None:
     if a_planar.ndim < 3 or a_planar.shape[-3] != 2:
         raise ShapeError(f"a_planar must be (..., 2, m, k), got {a_planar.shape}")
@@ -154,11 +150,16 @@ def _validate_batched_planar(a_planar, b_planar) -> None:
         raise ShapeError(f"K mismatch: A has K={a_planar.shape[-1]}, B has K={b_planar.shape[-2]}")
 
 
-def _mma_step(a_quant, b_quant, c, be: ArrayBackend):
-    """One schedule step: float32 accumulate of a quantized batched product."""
+def quantize_f16_backend(values, backend: ArrayBackend | None = None):
+    """Backend-generic float16 fragment load, widened back to float32.
+
+    The values are rounded to float16 once and returned as float32, the
+    dtype the schedule's ``matmul`` accumulates in (every float16 value is
+    exact in float32).
+    """
+    be = get_backend(backend)
     xp = be.xp
-    prod = be.matmul(a_quant.astype(xp.float32), b_quant.astype(xp.float32))
-    return c + prod
+    return be.astype(be.astype(be.asarray(values), xp.float16), xp.float32)
 
 
 def quantize_tf32_backend(values, backend: ArrayBackend | None = None):
@@ -177,81 +178,40 @@ def quantize_tf32_backend(values, backend: ArrayBackend | None = None):
     return be.bitcast(rounded, xp.float32)
 
 
-def complex_mma_f16_batched(
-    a_planar,
-    b_planar,
-    c_planar=None,
-    backend: ArrayBackend | None = None,
-):
-    """Batched 5-step complex MMA: (..., 2, m, k) x (..., 2, k, n) -> (..., 2, m, n).
+def _batched_schedule(a_planar, b_planar, quantize, backend: ArrayBackend | None):
+    """The 5-step schedule over all leading dims, written as complex64."""
+    be = get_backend(backend)
+    a_planar = be.asarray(a_planar)
+    b_planar = be.asarray(b_planar)
+    _validate_batched_planar(a_planar, b_planar)
+    a = quantize(a_planar, backend=be)
+    b = quantize(b_planar, backend=be)
+    a_re, a_im = a[..., REAL, :, :], a[..., IMAG, :, :]
+    b_re, b_im = b[..., REAL, :, :], b[..., IMAG, :, :]
+
+    re = be.matmul(a_re, b_re)          # step 1
+    im = be.matmul(a_re, b_im)          # step 2
+    b_im = -b_im                        # step 3 (registers only)
+    re += be.matmul(a_im, b_im)         # step 4
+    im += be.matmul(a_im, b_re)         # step 5
+    # The spec's 0 + prod map of -0 to +0 (module docstring). ``+=`` works
+    # in place on the product buffers (and rebinds on immutable backends).
+    re += 0.0
+    im += 0.0
+    return be.complex_from_planes(re, im)
+
+
+def complex_mma_f16_batched(a_planar, b_planar, backend: ArrayBackend | None = None):
+    """Batched 5-step complex MMA: (..., 2, m, k) x (..., 2, k, n) -> complex64 (..., m, n).
 
     Executes the identical schedule as :func:`complex_mma_f16` — quantize to
     float16, four float32-accumulated products with the Im(B) register
-    negation — but with each step a single batched ``matmul`` over all
-    leading dims, which is the vectorized hot path of the float16 GEMM.
+    negation — with each step a single batched ``matmul`` over all leading
+    dims; the result is byte-identical to the spec's planes as complex64.
     """
-    be = get_backend(backend)
-    xp = be.xp
-    a_planar = be.asarray(a_planar)
-    b_planar = be.asarray(b_planar)
-    _validate_batched_planar(a_planar, b_planar)
-    a_re = be.astype(a_planar[..., REAL, :, :], xp.float16)
-    a_im = be.astype(a_planar[..., IMAG, :, :], xp.float16)
-    b_re = be.astype(b_planar[..., REAL, :, :], xp.float16)
-    b_im = be.astype(b_planar[..., IMAG, :, :], xp.float16)
-
-    m, n = a_re.shape[-2], b_re.shape[-1]
-    out_shape = a_re.shape[:-2] + (m, n)
-    if c_planar is None:
-        c_re = xp.zeros(out_shape, dtype=xp.float32)
-        c_im = xp.zeros(out_shape, dtype=xp.float32)
-    else:
-        c_planar = be.asarray(c_planar)
-        if c_planar.shape != a_re.shape[:-2] + (2, m, n):
-            raise ShapeError(
-                f"c_planar must be {a_re.shape[:-2] + (2, m, n)}, got {c_planar.shape}"
-            )
-        c_re = be.astype(c_planar[..., REAL, :, :], xp.float32)
-        c_im = be.astype(c_planar[..., IMAG, :, :], xp.float32)
-
-    c_re = _mma_step(a_re, b_re, c_re, be)      # step 1
-    c_im = _mma_step(a_re, b_im, c_im, be)      # step 2
-    b_im_neg = -b_im                            # step 3 (registers only)
-    c_re = _mma_step(a_im, b_im_neg, c_re, be)  # step 4
-    c_im = _mma_step(a_im, b_re, c_im, be)      # step 5
-    return xp.stack([c_re, c_im], axis=-3)
+    return _batched_schedule(a_planar, b_planar, quantize_f16_backend, backend)
 
 
-def complex_mma_tf32_batched(
-    a_planar,
-    b_planar,
-    c_planar=None,
-    backend: ArrayBackend | None = None,
-):
+def complex_mma_tf32_batched(a_planar, b_planar, backend: ArrayBackend | None = None):
     """Batched 5-step schedule with TensorFloat-32 fragments (experimental §VI)."""
-    be = get_backend(backend)
-    xp = be.xp
-    a_planar = be.asarray(a_planar)
-    b_planar = be.asarray(b_planar)
-    _validate_batched_planar(a_planar, b_planar)
-    a_re = quantize_tf32_backend(a_planar[..., REAL, :, :], backend=be)
-    a_im = quantize_tf32_backend(a_planar[..., IMAG, :, :], backend=be)
-    b_re = quantize_tf32_backend(b_planar[..., REAL, :, :], backend=be)
-    b_im = quantize_tf32_backend(b_planar[..., IMAG, :, :], backend=be)
-
-    m, n = a_re.shape[-2], b_re.shape[-1]
-    out_shape = a_re.shape[:-2] + (m, n)
-    if c_planar is None:
-        c_re = xp.zeros(out_shape, dtype=xp.float32)
-        c_im = xp.zeros(out_shape, dtype=xp.float32)
-    else:
-        c_planar = be.asarray(c_planar)
-        c_re = be.astype(c_planar[..., REAL, :, :], xp.float32)
-        c_im = be.astype(c_planar[..., IMAG, :, :], xp.float32)
-
-    # TF32 multiplicands are rounded copies; products accumulate in float32.
-    c_re = _mma_step(a_re, b_re, c_re, be)
-    c_im = _mma_step(a_re, b_im, c_im, be)
-    c_re = _mma_step(a_im, -b_im, c_re, be)
-    c_im = _mma_step(a_im, b_re, c_im, be)
-    return xp.stack([c_re, c_im], axis=-3)
+    return _batched_schedule(a_planar, b_planar, quantize_tf32_backend, backend)

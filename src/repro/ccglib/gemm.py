@@ -194,15 +194,13 @@ class Gemm:
     def _run_float(self, a_planar: Any, b_planar: Any) -> Any:
         """float16 (and experimental tf32) functional path.
 
-        One batched 5-step complex MMA over all batch items; on NumPy this
-        is bit-identical to the historical per-item loop (batched ``matmul``
-        matches looped 2D ``matmul`` exactly).
+        One batched 5-step complex MMA over all batch items, written
+        straight into the complex64 output; on NumPy this is bit-identical
+        to the historical per-item loop (batched ``matmul`` matches looped
+        2D ``matmul`` exactly).
         """
-        be = self.backend
         mma = complex_mma_tf32_batched if self.precision is Precision.TF32 else complex_mma_f16_batched
-        planar = mma(a_planar, b_planar, backend=be)
-        out = planar[..., REAL, :, :] + 1j * planar[..., IMAG, :, :]
-        return be.astype(out, be.xp.complex64)
+        return mma(a_planar, b_planar, backend=self.backend)
 
     def _run_int1(self, a_planar: Any, b_planar: Any) -> Any:
         """1-bit functional path: sign-quantize, pack, binary GEMM (Eq. 5/6).
@@ -223,10 +221,9 @@ class Gemm:
             bit_op=self.bit_op or BitOp.XOR,
             backend=be,
         )
-        out = planar[..., REAL, :, :].astype(xp.float32) + 1j * planar[..., IMAG, :, :].astype(
-            xp.float32
+        return be.complex_from_planes(
+            planar[..., REAL, :, :].astype(xp.float32), planar[..., IMAG, :, :].astype(xp.float32)
         )
-        return be.astype(out, xp.complex64)
 
 
 def _is_complex_dtype(array: Any) -> bool:

@@ -20,7 +20,8 @@ Every conversion accepts an optional :class:`~repro.backend.ArrayBackend`
 and runs in that backend's namespace; the default is the NumPy reference,
 bit-identical to the pre-backend implementation. The planar/interleaved
 conversions are single fused vectorized expressions (one ``stack`` /
-one complex combine), never per-element loops.
+one :meth:`~repro.backend.ArrayBackend.complex_from_planes`), never
+per-element loops.
 """
 
 from __future__ import annotations
@@ -77,7 +78,12 @@ def to_planar(array, dtype=None, backend: ArrayBackend | None = None):
 
 
 def to_interleaved(planar, backend: ArrayBackend | None = None):
-    """Convert a planar array ``(..., 2, R, C)`` back to complex64/128."""
+    """Convert a planar array ``(..., 2, R, C)`` back to complex64/128.
+
+    The exact inverse of :func:`to_planar`: float64 planes give complex128,
+    any other dtype is widened to float32 and gives complex64, and every
+    value keeps its bytes (−0, infinities and NaNs included).
+    """
     be = get_backend(backend)
     xp = be.xp
     planar = be.asarray(planar)
@@ -86,11 +92,9 @@ def to_interleaved(planar, backend: ArrayBackend | None = None):
             f"planar array must have a complex axis of length 2 third-from-last, "
             f"got shape {planar.shape}"
         )
-    out_dtype = xp.complex128 if planar.dtype == xp.float64 else xp.complex64
-    imag_dtype = xp.float64 if out_dtype == xp.complex128 else xp.float32
-    return (
-        planar[..., REAL, :, :] + 1j * planar[..., IMAG, :, :].astype(imag_dtype)
-    ).astype(out_dtype)
+    if planar.dtype != xp.float64:
+        planar = be.astype(planar, xp.float32)
+    return be.complex_from_planes(planar[..., REAL, :, :], planar[..., IMAG, :, :])
 
 
 def ensure_batched(array, expected_ndim: int, backend: ArrayBackend | None = None):

@@ -322,7 +322,9 @@ class BeamformerPlan:
             gemm_result = self._gemm.run(weights, be.astype(normalized, be.xp.complex64))
             output = gemm_result.output
             if self.restore_output_scale and scale != 1.0:
-                output = output * scale
+                # The GEMM output is ours: rescale it in place (a rebind on
+                # immutable backends), the same product as ``output * scale``.
+                output *= scale
         else:
             gemm_result = self._gemm.run()
         costs.append(gemm_result.cost)

@@ -113,6 +113,16 @@ class TestNumpyBackend:
         assert np.shares_memory(bits, f)
         assert np.array_equal(be.bitcast(bits, np.float32), f)
 
+    def test_complex_from_planes_keeps_every_bit(self):
+        be = numpy_backend()
+        for dtype, want in ((np.float32, np.complex64), (np.float64, np.complex128)):
+            real = np.array([[1.0, -0.0, np.inf, np.nan]], dtype=dtype)
+            imag = np.array([[np.inf, -0.0, 0.0, -1.0]], dtype=dtype)
+            out = be.complex_from_planes(real, imag)
+            assert out.dtype == want and out.shape == real.shape
+            assert out.real.tobytes() == real.tobytes()
+            assert out.imag.tobytes() == imag.tobytes()
+
     def test_synchronize_is_a_noop(self):
         assert numpy_backend().synchronize() is None
 
@@ -156,3 +166,13 @@ class TestConformance:
                 return 2.0 * np.matmul(a, b)
 
         assert any("matmul" in p for p in check_backend(_Scaled()))
+
+    def test_lossy_complex_assembly_is_caught(self):
+        class _Arithmetic(NumpyBackend):
+            name = "arithmetic"
+
+            def complex_from_planes(self, real, imag):
+                with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part
+                    return (real + 1j * imag).astype(np.complex64)
+
+        assert any("complex_from_planes" in p for p in check_backend(_Arithmetic()))

@@ -10,6 +10,7 @@ from repro.backend.validate import (
     CaseResult,
     ValidationReport,
     _compare,
+    _compare_bytes,
     main,
     validate_all,
     validate_backend,
@@ -27,7 +28,8 @@ class TestValidateNumpy:
         cases = {c.case.split("/")[0] for c in report.cases}
         assert {
             "conformance", "pack", "unpack", "transpose",
-            "int1-gemm", "f16-gemm", "tf32-gemm", "pack-bits", "unpack-bits", "rms",
+            "int1-gemm", "f16-gemm", "tf32-gemm", "f16-spec", "tf32-spec",
+            "pack-bits", "unpack-bits", "rms",
         } <= cases
 
     def test_quick_mode_runs_fewer_shapes(self):
@@ -61,6 +63,20 @@ class TestCompare:
     def test_tolerance_pass_records_error(self):
         result = _compare("c", np.array([1.0001]), np.array([1.0]), 1e-3, 1e-3)
         assert result.passed and result.max_abs_err > 0
+
+
+class TestCompareBytes:
+    def test_signed_zero_is_a_difference(self):
+        want = np.zeros(2, dtype=np.complex64)
+        got = want.copy()
+        got.real[1] = -0.0
+        result = _compare_bytes("c", got, want)
+        assert not result.passed and "bytes" in result.detail
+        assert _compare_bytes("c", want.copy(), want).passed
+
+    def test_dtype_mismatch_is_a_failure(self):
+        want = np.zeros(2, dtype=np.complex64)
+        assert not _compare_bytes("c", want.astype(np.complex128), want).passed
 
 
 class TestReport:

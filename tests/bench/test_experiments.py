@@ -127,6 +127,15 @@ class TestBackendMicroFindings:
         _, rows = result.tables["backends"]
         assert {row[0] for row in rows} == set(available_backends())
 
+    def test_host_table_names_blas_and_thread_settings(self):
+        result = _get("backend-micro")
+        headers, rows = result.tables["host"]
+        assert headers == ["field", "value"]
+        fields = dict(rows)
+        assert set(fields) == {"blas", "blas_version", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}
+        assert all(isinstance(v, str) and v for v in fields.values())
+        assert "BLAS library and thread settings" in result.text
+
     def test_micro_table_has_all_numpy_paths(self):
         result = _get("backend-micro")
         _, rows = result.tables["micro"]

@@ -25,6 +25,29 @@ class TestPlanarConversion:
         z = (rng.normal(size=(r, c)) + 1j * rng.normal(size=(r, c))).astype(np.complex64)
         assert np.array_equal(to_interleaved(to_planar(z)), z)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_roundtrip_is_byte_identical_on_special_values(self, dtype):
+        parts = [0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan]
+        z = np.array([complex(r, i) for r in parts for i in parts], dtype=dtype)
+        z = z.reshape(7, 7)
+        back = to_interleaved(to_planar(z))
+        assert back.dtype == z.dtype
+        assert back.tobytes() == z.tobytes()
+
+    def test_infinite_imaginary_part_keeps_a_finite_real_part(self):
+        z = np.array([[1 + 0j, 0j]], dtype=np.complex64)
+        z.imag[0, 0] = np.inf
+        z.real[0, 1] = -0.0
+        back = to_interleaved(to_planar(z))
+        assert back[0, 0].real == 1.0 and back[0, 0].imag == np.inf
+        assert np.signbit(back[0, 1].real)
+
+    def test_float16_planes_give_complex64(self):
+        p = np.array([[[1.0]], [[-0.0]]], dtype=np.float16)
+        back = to_interleaved(p)
+        assert back.dtype == np.complex64
+        assert back[0, 0].real == 1.0 and np.signbit(back[0, 0].imag)
+
     def test_plane_order(self):
         z = np.array([[1 + 2j]], dtype=np.complex64)
         p = to_planar(z)
